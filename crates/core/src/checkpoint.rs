@@ -15,7 +15,7 @@ use std::path::Path;
 use svmsyn_sim::Cycle;
 
 use crate::app::Application;
-use crate::flow::{synthesize, Placement, SynthesisError, SystemDesign};
+use crate::flow::{kernel_cells, synthesize_with, Placement, SynthesisError, SystemDesign};
 use crate::platform::{Platform, PressurePoint};
 use crate::sim::{simulate, RunProgress, Sim, SimConfig, SimError, SimOutcome, SNAPSHOT_VERSION};
 
@@ -182,7 +182,10 @@ pub fn fork_swap_sweep(
     cfg: &SimConfig,
     warmup_events: u64,
 ) -> Result<Vec<ForkArm>, ForkError> {
-    let base_design = synthesize(app, base, placements)?;
+    // Every arm differs from `base` only in its pressure point, never in
+    // `hls`, so the base design and all arms share one set of kernels.
+    let kernels = kernel_cells(app);
+    let base_design = synthesize_with(app, base, placements, &kernels)?;
     let warm_cfg = SimConfig {
         checkpoint_every: warmup_events.max(1),
         ..*cfg
@@ -199,7 +202,7 @@ pub fn fork_swap_sweep(
             swap_latency: lat,
             ..base.pressure_point()
         });
-        let design = synthesize(app, &variant, placements)?;
+        let design = synthesize_with(app, &variant, placements, &kernels)?;
         let outcome = match &warm {
             Some(cp) => {
                 let run_cfg = SimConfig {

@@ -40,7 +40,7 @@ use svmsyn_vm::walker::WalkerConfig;
 
 use crate::app::Application;
 use crate::fingerprint::{app_fingerprint, platform_fingerprint};
-use crate::flow::{synthesize, Placement};
+use crate::flow::{kernel_cells, synthesize_with, KernelCell, Placement};
 use crate::platform::{Platform, PressurePoint};
 use crate::sim::{simulate, SimConfig};
 
@@ -210,8 +210,9 @@ fn evaluate(
     platform: &Platform,
     placements: &[Placement],
     sim: &SimConfig,
+    kernels: &[KernelCell],
 ) -> Option<DsePoint> {
-    let design = synthesize(app, platform, placements).ok()?;
+    let design = synthesize_with(app, platform, placements, kernels).ok()?;
     let outcome = simulate(&design, sim).ok()?;
     Some(DsePoint {
         placements: placements.to_vec(),
@@ -235,15 +236,18 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// [`evaluate`] behind a panic boundary: a panicking candidate becomes
 /// `Err(message)` instead of unwinding through the sweep. `AssertUnwindSafe`
 /// is sound because all inputs are borrowed immutably — an unwound
-/// evaluation leaves no state the sweep observes afterwards.
+/// evaluation leaves no state the sweep observes afterwards. The one shared
+/// mutable input, the kernel cells, is safe too: a compile that panics
+/// leaves its cell empty, so the next candidate compiles (and panics) anew.
 fn evaluate_guarded(
     app: &Application,
     platform: &Platform,
     placements: &[Placement],
     sim: &SimConfig,
+    kernels: &[KernelCell],
 ) -> Result<Option<DsePoint>, String> {
     catch_unwind(AssertUnwindSafe(|| {
-        evaluate(app, platform, placements, sim)
+        evaluate(app, platform, placements, sim, kernels)
     }))
     .map_err(panic_message)
 }
@@ -396,6 +400,12 @@ struct Evaluator<'a> {
     workers: usize,
     /// One memo table per walk-cache variant, keyed by placement vector.
     memo: Vec<HashMap<Vec<Placement>, Option<DsePoint>>>,
+    /// One compiled-kernel cell per application thread, filled on the
+    /// thread's first hardware placement and reused by every later point,
+    /// variant and worker of the sweep. Sound because HLS depends only on
+    /// the kernel and the platform's `HlsConfig`, which no variant axis
+    /// changes.
+    kernels: Vec<KernelCell>,
     /// The persistent second-level cache, if configured.
     store: Option<&'a ResultStore>,
     /// Per-variant canonical key prefix (empty when no store): key =
@@ -454,6 +464,8 @@ impl<'a> Evaluator<'a> {
                 .flat_map(|p| cfg.pressure_axis.iter().map(|&pt| p.with_pressure(pt)))
                 .collect()
         };
+        // `kernels` is shared across variants: no axis may touch `hls`.
+        debug_assert!(variants.iter().all(|v| v.hls == platform.hls));
         let memo = vec![HashMap::new(); variants.len()];
         let key_prefix = if store.is_some() {
             let app_fp = app_fingerprint(app);
@@ -471,6 +483,7 @@ impl<'a> Evaluator<'a> {
             sim: cfg.sim,
             workers,
             memo,
+            kernels: kernel_cells(app),
             store,
             key_prefix,
             evaluated: 0,
@@ -545,7 +558,14 @@ impl<'a> Evaluator<'a> {
             self.memo[self.current].insert(placements.to_vec(), stored.clone());
             return stored;
         }
-        let point = match evaluate_guarded(self.app, self.platform(), placements, &self.sim) {
+        let outcome = evaluate_guarded(
+            self.app,
+            self.platform(),
+            placements,
+            &self.sim,
+            &self.kernels,
+        );
+        let point = match outcome {
             Ok(point) => {
                 self.store_publish(self.current, placements, &point);
                 point
@@ -597,8 +617,14 @@ impl<'a> Evaluator<'a> {
 
         if misses.len() <= 1 || self.workers <= 1 {
             for c in misses {
-                let point = match evaluate_guarded(self.app, &self.variants[variant], c, &self.sim)
-                {
+                let outcome = evaluate_guarded(
+                    self.app,
+                    &self.variants[variant],
+                    c,
+                    &self.sim,
+                    &self.kernels,
+                );
+                let point = match outcome {
                     Ok(point) => {
                         self.store_publish(variant, c, &point);
                         point
@@ -625,6 +651,9 @@ impl<'a> Evaluator<'a> {
             // the serial one.
             let workers = self.workers.min(misses.len());
             let (app, platform, sim) = (self.app, &self.variants[variant], &self.sim);
+            // `OnceLock` is `Sync`: workers share the kernel cells directly,
+            // and concurrent first requests for one kernel compile it once.
+            let kernels = &self.kernels[..];
             let misses = &misses;
             let next = AtomicUsize::new(0);
             // A candidate's evaluation outcome: its placement vector plus
@@ -638,7 +667,8 @@ impl<'a> Evaluator<'a> {
                             loop {
                                 let i = next.fetch_add(1, Ordering::Relaxed);
                                 let Some(c) = misses.get(i) else { break };
-                                done.push(((*c).clone(), evaluate_guarded(app, platform, c, sim)));
+                                let outcome = evaluate_guarded(app, platform, c, sim, kernels);
+                                done.push(((*c).clone(), outcome));
                             }
                             done
                         })
@@ -854,18 +884,20 @@ pub fn explore_with_store(
     // Dedup identical design points before the front (heuristics revisit);
     // the same placement under a different walk-cache geometry, fabric
     // configuration, miss depth, or pressure point is a distinct point.
-    let mut unique: Vec<DsePoint> = Vec::new();
-    for p in feasible {
-        if !unique.iter().any(|q| {
-            q.placements == p.placements
-                && q.walker == p.walker
-                && q.fabric == p.fabric
-                && q.miss_depth == p.miss_depth
-                && q.pressure == p.pressure
-        }) {
-            unique.push(p);
-        }
-    }
+    // First occurrence wins, so `feasible` keeps its evaluation order.
+    let mut seen = HashSet::new();
+    let unique: Vec<DsePoint> = feasible
+        .into_iter()
+        .filter(|p| {
+            seen.insert((
+                p.placements.clone(),
+                p.walker,
+                p.fabric.clone(),
+                p.miss_depth,
+                p.pressure,
+            ))
+        })
+        .collect();
     let pareto = pareto_front(unique.clone());
     Ok(DseResult {
         best,
@@ -883,6 +915,7 @@ pub fn explore_with_store(
 mod tests {
     use super::*;
     use crate::app::{ApplicationBuilder, ArgSpec};
+    use crate::flow::synthesize;
     use svmsyn_hls::builder::KernelBuilder;
     use svmsyn_hls::ir::{BinOp, CmpOp, Width};
 
@@ -920,12 +953,18 @@ mod tests {
     }
 
     fn app(threads: usize, n: u64) -> Application {
+        app_with_eligibility(&vec![true; threads], n)
+    }
+
+    /// One `work_kernel` thread per entry of `hw_eligible`, each with its
+    /// own output buffer.
+    fn app_with_eligibility(hw_eligible: &[bool], n: u64) -> Application {
         let init: Vec<u8> = (0..n as u32).flat_map(|i| i.to_le_bytes()).collect();
         let mut builder = ApplicationBuilder::new("dse").buffer("in", n * 4, init, false);
-        for i in 0..threads {
+        for i in 0..hw_eligible.len() {
             builder = builder.buffer(format!("out{i}"), n * 4, vec![], false);
         }
-        for i in 0..threads {
+        for (i, &eligible) in hw_eligible.iter().enumerate() {
             builder = builder.thread(
                 format!("t{i}"),
                 work_kernel(&format!("k{i}")),
@@ -934,7 +973,7 @@ mod tests {
                     ArgSpec::Buffer(i + 1, 0),
                     ArgSpec::Value(n as i64),
                 ],
-                true,
+                eligible,
             );
         }
         builder.build().unwrap()
@@ -1325,6 +1364,52 @@ mod tests {
                 .expect("all-hw point per pressure point")
         };
         assert!(all_hw_makespan(&axis[1]) >= all_hw_makespan(&axis[0]));
+    }
+
+    #[test]
+    fn kernel_reuse_matches_fresh_synthesis() {
+        // Thread 1 is software-only: its kernel must never be compiled.
+        let a = app_with_eligibility(&[true, false, true], 64);
+        let platform = Platform::default();
+        for threads in [1, 4] {
+            let cfg = DseConfig {
+                method: DseMethod::Exhaustive,
+                sim: fast_sim(),
+                threads,
+                walker_axis: vec![WalkerConfig::disabled(), WalkerConfig::two_level(4, 16)],
+                memif_axis: vec![1, 4],
+                ..DseConfig::default()
+            };
+            let r = explore(&a, &platform, &cfg).unwrap();
+            // 4 placements x 2 walkers x 2 depths, all feasible.
+            assert_eq!(r.feasible.len(), 16, "threads={threads}");
+            for p in &r.feasible {
+                let variant = platform.with_walker(p.walker).with_miss_depth(p.miss_depth);
+                let design = synthesize(&a, &variant, &p.placements).unwrap();
+                let outcome = simulate(&design, &cfg.sim).unwrap();
+                assert_eq!(p.resources, design.total_resources, "{p:?}");
+                assert_eq!(p.makespan, outcome.makespan, "{p:?}");
+            }
+
+            // White-box: the same sweep on a bare evaluator leaves exactly
+            // the hardware-eligible threads' cells filled.
+            let eligible = a.hw_eligible();
+            let mut ev = Evaluator::new(&a, &platform, &cfg, None);
+            let candidates: Vec<Vec<Placement>> = (0..1u64 << eligible.len())
+                .map(|mask| placements_from_mask(&a, &eligible, mask))
+                .collect();
+            for variant in 0..ev.variants.len() {
+                ev.current = variant;
+                ev.eval_batch(&candidates);
+            }
+            for (t, cell) in ev.kernels.iter().enumerate() {
+                assert_eq!(
+                    cell.get().is_some(),
+                    eligible.contains(&t),
+                    "thread {t}, threads={threads}"
+                );
+            }
+        }
     }
 
     #[test]
