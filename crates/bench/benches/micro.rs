@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use svmsyn::dse::{explore, explore_with_store, DseConfig, DseMethod};
 use svmsyn::platform::Platform;
-use svmsyn::sim::{simulate, Sim, SimConfig};
+use svmsyn::sim::{Sim, SimConfig};
 use svmsyn_bench::{hw_design, run_checked};
 use svmsyn_hls::decode::DecodedKernel;
 use svmsyn_hls::fsmd::{compile, HlsConfig};
@@ -36,7 +36,6 @@ use svmsyn_vm::pte::{DirEntry, Pte, PteFlags};
 use svmsyn_vm::tlb::{Asid, Replacement, Tlb, TlbConfig};
 use svmsyn_vm::walker::{PageTableWalker, WalkerConfig};
 use svmsyn_workloads::streaming::vecadd;
-use svmsyn_workloads::Workload;
 
 /// One benchmark result destined for the JSON baseline.
 struct Result {
@@ -567,103 +566,6 @@ fn bench_sampled_vs_full(runs: u64) -> (f64, f64) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded simulation: the same multi-thread chase+stream system run on the
-// serial single-wheel engine and on the 2-shard parallel engine. The
-// workload is latency-bound (dependent pointer hops) with a streaming
-// side-channel, so each shard has real work between barriers. Outputs are
-// conformance-checked once, untimed — the equivalence suite owns the full
-// bit-identity proof; the bench owns the economics.
-// ---------------------------------------------------------------------------
-
-/// Two independent chase+stream threads over disjoint buffers: thread `t`
-/// chases its own `nodes_t` ring while streaming `c_t[i] = a_t[i] + b_t[i]`.
-fn sharded_bench_workload(nodes: usize, n: u64) -> Workload {
-    use svmsyn::app::{ApplicationBuilder, ArgSpec};
-    use svmsyn_workloads::chase::{chase_data, chase_stream_kernel};
-    use svmsyn_workloads::common::u32s_to_bytes;
-
-    let mut rng = Xoshiro256ss::new(0x5AAD);
-    let mut builder = ApplicationBuilder::new("chase-stream-x2");
-    let mut expected = Vec::new();
-    for t in 0..2u64 {
-        let (words, _) = chase_data(nodes, n, &mut rng);
-        let a: Vec<u32> = (0..n).map(|_| rng.next_u32() >> 8).collect();
-        let b: Vec<u32> = (0..n).map(|_| rng.next_u32() >> 8).collect();
-        let c: Vec<u32> = a.iter().zip(&b).map(|(x, y)| x.wrapping_add(*y)).collect();
-        builder = builder
-            .buffer(
-                format!("nodes{t}"),
-                nodes as u64 * 8,
-                u32s_to_bytes(&words),
-                false,
-            )
-            .buffer(format!("a{t}"), n * 4, u32s_to_bytes(&a), false)
-            .buffer(format!("b{t}"), n * 4, u32s_to_bytes(&b), false)
-            .buffer(format!("c{t}"), n * 4, vec![], false);
-        let base = (t * 4) as usize;
-        builder = builder.thread(
-            format!("t{t}"),
-            chase_stream_kernel(),
-            vec![
-                ArgSpec::Buffer(base, 0),
-                ArgSpec::Buffer(base + 1, 0),
-                ArgSpec::Buffer(base + 2, 0),
-                ArgSpec::Buffer(base + 3, 0),
-                ArgSpec::Value(n as i64),
-            ],
-            true,
-        );
-        expected.push((base + 3, u32s_to_bytes(&c)));
-    }
-    Workload {
-        name: "chase-stream-x2".into(),
-        app: builder.build().expect("bench app"),
-        expected,
-    }
-}
-
-fn bench_sharded_sim(runs: u64) -> f64 {
-    let w = sharded_bench_workload(2048, 8192);
-    let design = hw_design(&w, &Platform::default());
-    let serial = SimConfig {
-        max_events: 50_000_000,
-        ..SimConfig::default()
-    };
-    let sharded = SimConfig {
-        shards: 2,
-        ..serial
-    };
-    // Conformance teeth, once and untimed: identical verified outputs, and
-    // the barrier-wait health check surfaced when lookahead starves shards.
-    let so = simulate(&design, &serial).expect("serial bench run");
-    let po = simulate(&design, &sharded).expect("sharded bench run");
-    w.verify(&so).expect("serial bench output");
-    w.verify(&po).expect("sharded bench output");
-    for warning in po.summary_warnings() {
-        eprintln!("WARNING ({}): {warning}", w.name);
-    }
-    let serial_secs = time(|| {
-        for _ in 0..runs {
-            black_box(
-                simulate(&design, &serial)
-                    .expect("serial bench run")
-                    .makespan,
-            );
-        }
-    });
-    let sharded_secs = time(|| {
-        for _ in 0..runs {
-            black_box(
-                simulate(&design, &sharded)
-                    .expect("sharded bench run")
-                    .makespan,
-            );
-        }
-    });
-    serial_secs / sharded_secs
-}
-
-// ---------------------------------------------------------------------------
 // DSE sweep: serial vs. parallel exhaustive search (simulation in the loop).
 // ---------------------------------------------------------------------------
 
@@ -928,12 +830,6 @@ fn main() {
         unit: "x",
     });
 
-    results.push(Result {
-        name: "sharded_sim_speedup",
-        value: bench_sharded_sim(if smoke { 1 } else { 5 }),
-        unit: "x",
-    });
-
     let serial = dse_sweep_secs(1);
     let parallel = dse_sweep_secs(0);
     results.push(Result {
@@ -992,12 +888,6 @@ fn main() {
             "WARNING: host_cores == 1 — dse_parallel_speedup ~1.0x is the \
              expected degenerate reading on this host, not a regression; \
              re-record on a multicore machine"
-        );
-        println!(
-            "WARNING: host_cores == 1 — sharded_sim_speedup below 1.0x is \
-             likewise expected here: both shards time-slice one core and \
-             pay the window-barrier protocol on top; re-record on a \
-             multicore machine"
         );
     }
 
@@ -1081,29 +971,6 @@ fn main() {
             "store warm-vs-cold speedup {:.2}x below the 3x bar",
             store.value
         );
-        // CI contract: the sharded-simulation entry must exist (its
-        // harness already conformance-checked outputs against the serial
-        // engine), and on a multicore host the 2-shard run must clear the
-        // PR's 1.5x bar. On a 1-core host the reading is degenerate —
-        // both shards time-slice one core — so it is warned, not asserted.
-        let sharded = results
-            .iter()
-            .find(|r| r.name == "sharded_sim_speedup")
-            .expect("sharded_sim_speedup missing from the benchmark set");
-        if host_cores > 1 {
-            assert!(
-                sharded.value > 1.5,
-                "sharded simulation speedup {:.2}x below the 1.5x bar on a \
-                 {host_cores}-core host",
-                sharded.value
-            );
-        } else {
-            println!(
-                "WARNING: host_cores == 1 — sharded_sim_speedup {:.2}x not \
-                 asserted against the 1.5x bar on this host",
-                sharded.value
-            );
-        }
         // CI contract: on any multicore host the parallel sweep must beat
         // the serial one outright. (On a 1-core host the reading is the
         // degenerate ~1.0x flagged above — nothing to assert.)

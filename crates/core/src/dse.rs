@@ -39,7 +39,7 @@ use svmsyn_store::ResultStore;
 use svmsyn_vm::walker::WalkerConfig;
 
 use crate::app::Application;
-use crate::fingerprint::{app_fingerprint, platform_fingerprint};
+use crate::fingerprint::{app_fingerprint, encode_platform};
 use crate::flow::{kernel_cells, synthesize_with, KernelCell, Placement};
 use crate::platform::{Platform, PressurePoint};
 use crate::sim::{simulate, SimConfig};
@@ -255,17 +255,16 @@ fn evaluate_guarded(
 /// Version tag of the store key layout. Bumped whenever the key encoding
 /// below changes shape, so old records simply stop matching instead of
 /// being misinterpreted.
-const STORE_KEY_VERSION: u32 = 2;
+const STORE_KEY_VERSION: u32 = 3;
 
 /// The canonical store-key prefix for one `(app, platform variant, sim)`
 /// combination: everything but the placement vector. Appending the
 /// placements (one byte each) completes a key.
 ///
-/// The platform fingerprint already covers the walker/fabric/memif/pressure
-/// variant (variants are materialized as whole platforms), but the variant
-/// axes are also encoded explicitly so the key is self-describing — the key
-/// layout is `(app, platform, variant, placements)` exactly as the store
-/// contract states, not an implementation coincidence of the fingerprint.
+/// The variant is written as its whole canonical platform encoding, not a
+/// hash of it: the store compares embedded key bytes on read, so every
+/// platform field — walker/fabric/memif/pressure axes and fixed parameters
+/// alike — must match exactly for a record to be served.
 ///
 /// `SimConfig::checkpoint_every` is deliberately excluded: periodic
 /// checkpoint pauses are transparent to results (`simulate` resumes
@@ -275,41 +274,13 @@ fn store_key_prefix(app_fp: u64, variant: &Platform, sim: &SimConfig) -> Vec<u8>
     let mut w = SnapWriter::new();
     w.put_u32(STORE_KEY_VERSION);
     w.put_u64(app_fp);
-    w.put_u64(platform_fingerprint(variant));
-    // Variant axes, explicit.
-    w.put_usize(variant.memif.mmu.walker.l1_entries);
-    w.put_usize(variant.memif.mmu.walker.l2_entries);
-    w.put_u64(variant.mem.fabric.width_bytes);
-    w.put_u64(variant.mem.fabric.arb_cycles);
-    w.put_u32(variant.mem.fabric.window);
-    w.put_u32(variant.mem.fabric.mshrs);
-    w.put_u64(variant.mem.fabric.mshr_line_bytes);
-    w.put_u32(variant.memif.miss_depth);
-    let pressure = variant.pressure_point();
-    match pressure.frame_budget {
-        None => w.put_u8(0),
-        Some(n) => {
-            w.put_u8(1);
-            w.put_u64(n);
-        }
-    }
-    w.put_u8(match pressure.policy {
-        svmsyn_os::AllocPolicy::Lazy => 0,
-        svmsyn_os::AllocPolicy::Eager => 1,
-    });
-    w.put_u64(pressure.swap_latency);
+    encode_platform(variant, &mut w);
     // Simulation options that can change results.
     w.put_u64(sim.quantum);
     w.put_u64(sim.max_events);
     w.put_u32(sim.fault_retry_budget);
     w.put_u64(sim.thrash_window);
     w.put_u32(sim.thrash_fault_limit);
-    // The sharded engine produces identical makespans (the conformance
-    // suite proves it), but error-path edges — event-limit trip points,
-    // thrash attribution — depend on the shard plan, so records are keyed
-    // per plan rather than risking a stale infeasibility verdict.
-    w.put_u32(sim.shards);
-    w.put_u64(sim.shard_window);
     w.into_bytes()
 }
 
@@ -426,10 +397,10 @@ impl<'a> Evaluator<'a> {
         cfg: &DseConfig,
         store: Option<&'a ResultStore>,
     ) -> Self {
-        // Each candidate evaluation occupies `sim.shards` host threads
-        // while a window executes, so the worker pool shrinks to keep
-        // `workers × shards` within the host budget.
-        let workers = crate::budget::worker_budget(cfg.threads, cfg.sim.shards as usize);
+        let workers = match cfg.threads {
+            0 => crate::budget::host_cores(),
+            n => n,
+        };
         // The variant list is the cross product of the walk-cache and
         // fabric axes; an empty axis contributes the platform's own value.
         let walker_variants: Vec<Platform> = if cfg.walker_axis.is_empty() {
@@ -1510,6 +1481,63 @@ mod tests {
         // A different platform variant: distinct keys.
         let r = explore_with_store(&a, &platform.with_miss_depth(1), &cfg, Some(&store)).unwrap();
         assert_eq!(r.store_hits, 0, "different platform must not collide");
+
+        // Every other platform field is key material too: each sweep axis,
+        // and a fixed parameter no axis touches.
+        let walker = platform.memif.mmu.walker;
+        let fabric = &platform.mem.fabric;
+        let pressure = platform.pressure_point();
+        let mut slower_faults = platform.clone();
+        slower_faults.os.costs.fault_service += 1;
+        let variants = [
+            (
+                "walker l1",
+                platform.with_walker(WalkerConfig {
+                    l1_entries: walker.l1_entries + 1,
+                    ..walker
+                }),
+            ),
+            (
+                "walker l2",
+                platform.with_walker(WalkerConfig {
+                    l2_entries: walker.l2_entries + 1,
+                    ..walker
+                }),
+            ),
+            (
+                "fabric window",
+                platform.with_fabric(svmsyn_mem::FabricConfig {
+                    window: fabric.window + 1,
+                    ..fabric.clone()
+                }),
+            ),
+            (
+                "fabric mshrs",
+                platform.with_fabric(svmsyn_mem::FabricConfig {
+                    mshrs: fabric.mshrs + 1,
+                    ..fabric.clone()
+                }),
+            ),
+            (
+                "frame budget",
+                platform.with_pressure(PressurePoint {
+                    frame_budget: Some(1024),
+                    ..pressure
+                }),
+            ),
+            (
+                "swap latency",
+                platform.with_pressure(PressurePoint {
+                    swap_latency: pressure.swap_latency + 1,
+                    ..pressure
+                }),
+            ),
+            ("fault service cost", slower_faults),
+        ];
+        for (what, variant) in &variants {
+            let r = explore_with_store(&a, variant, &cfg, Some(&store)).unwrap();
+            assert_eq!(r.store_hits, 0, "a different {what} must not collide");
+        }
 
         // checkpoint_every is result-transparent (simulate resumes
         // bit-identically), so it is excluded from the key: full hits.

@@ -72,11 +72,10 @@ pub mod flow;
 pub mod platform;
 pub mod report;
 pub mod sample;
-pub mod shard;
 pub mod sim;
 
 pub use app::{Application, ApplicationBuilder, ArgSpec, SyncAction, SyncSpec};
-pub use budget::{host_cores, worker_budget};
+pub use budget::host_cores;
 pub use checkpoint::{
     bisect_divergence, digest_at, fork_swap_sweep, BisectSide, Checkpoint, Divergence, ForkArm,
     ForkError,
@@ -86,7 +85,4 @@ pub use fingerprint::{app_fingerprint, platform_fingerprint};
 pub use flow::{synthesize, Placement, SynthesisError, SystemDesign};
 pub use platform::{Platform, PressurePoint};
 pub use sample::{SampleConfig, SampleProfile, SampledEstimate, SampledRun, StatEstimate};
-pub use shard::{planned_shards, simulate_sharded, ExecMode, ShardedSim};
-pub use sim::{
-    simulate, RunProgress, ShardSyncStats, Sim, SimConfig, SimError, SimOutcome, SNAPSHOT_VERSION,
-};
+pub use sim::{simulate, RunProgress, Sim, SimConfig, SimError, SimOutcome, SNAPSHOT_VERSION};

@@ -56,16 +56,6 @@ pub struct SimConfig {
     /// many scheduler events and returns a resumable [`Checkpoint`]
     /// ([`simulate`] resumes transparently). `0` disables pausing.
     pub checkpoint_every: u64,
-    /// Requested simulation shards. `1` (the default) runs the classic
-    /// single-wheel engine; `> 1` partitions the threads across per-shard
-    /// event wheels advanced in conservative lookahead windows (see
-    /// [`crate::shard`]). The planner may reduce the effective count — see
-    /// [`crate::shard::planned_shards`].
-    pub shards: u32,
-    /// Lookahead window override in cycles for the sharded engine. `0`
-    /// (the default) derives the window from the fabric's minimum
-    /// issue-to-complete latency and the quantum.
-    pub shard_window: u64,
 }
 
 impl Default for SimConfig {
@@ -81,8 +71,6 @@ impl Default for SimConfig {
             thrash_window: 1_000_000,
             thrash_fault_limit: 0,
             checkpoint_every: 0,
-            shards: 1,
-            shard_window: 0,
         }
     }
 }
@@ -232,9 +220,9 @@ pub struct ThreadMetrics {
     /// Kernel return value, if any.
     pub ret: Option<i64>,
     /// The retired execution body (source of the lazy counter snapshot).
-    pub(crate) body: Body,
+    body: Body,
     /// Cached snapshot; assembled on first [`stats`][Self::stats] call.
-    pub(crate) stats: OnceCell<StatSet>,
+    stats: OnceCell<StatSet>,
 }
 
 impl ThreadMetrics {
@@ -251,40 +239,6 @@ impl ThreadMetrics {
     }
 }
 
-/// Barrier-synchronization counters from a sharded run (see
-/// [`crate::shard`]). `None` on [`SimOutcome`]s produced by the serial
-/// single-wheel engine.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardSyncStats {
-    /// Lookahead windows executed (barrier count).
-    pub windows: u64,
-    /// Cross-shard interactions exchanged at barriers: page-fault services,
-    /// kernel-finish notifications routed through the coordinator.
-    pub crossings: u64,
-    /// Σ over (window × shard) of idle cycles between a shard's last event
-    /// and the window edge — the conservative-lookahead synchronization
-    /// cost. When this dominates `windows × window length × shards`, the
-    /// shards are starved and a larger window (or fewer shards) would pay.
-    pub barrier_wait_cycles: u64,
-    /// Shards the run executed on.
-    pub shards: u64,
-    /// The lookahead window length `W`, in cycles.
-    pub window_len: u64,
-}
-
-impl ShardSyncStats {
-    /// The fraction of all shard-cycles spent idle at window barriers
-    /// (`0.0` when no windows ran).
-    pub fn barrier_wait_fraction(&self) -> f64 {
-        let total = self.windows * self.window_len * self.shards;
-        if total == 0 {
-            0.0
-        } else {
-            self.barrier_wait_cycles as f64 / total as f64
-        }
-    }
-}
-
 /// The outcome of a full-system simulation.
 #[derive(Debug)]
 pub struct SimOutcome {
@@ -293,7 +247,7 @@ pub struct SimOutcome {
     /// Per-thread metrics, in application order.
     pub threads: Vec<ThreadMetrics>,
     /// Cached system-wide counters; see [`stats`][Self::stats].
-    pub(crate) stats: OnceCell<StatSet>,
+    stats: OnceCell<StatSet>,
     /// Where each application buffer was mapped.
     pub buffer_vas: Vec<VirtAddr>,
     /// Final memory image (for checkers).
@@ -305,16 +259,13 @@ pub struct SimOutcome {
     /// TLB shootdowns broadcast during the run (one per reclaimed page per
     /// MMU/CPU-TLB target).
     pub shootdowns: u64,
-    /// Barrier-synchronization counters when the run used the sharded
-    /// engine; `None` for serial single-wheel runs.
-    pub sync: Option<ShardSyncStats>,
 }
 
 /// Assembles the system-wide counter set from its components — shared by
 /// the final [`SimOutcome::stats`] and the mid-run [`Sim::live_stats`], so
 /// the sampling estimator's per-interval deltas use exactly the same keys
 /// and aggregation rules as the ground-truth totals it extrapolates.
-pub(crate) fn assemble_stats<'a>(
+fn assemble_stats<'a>(
     makespan: Cycle,
     thread_stats: impl Iterator<Item = &'a StatSet>,
     os: &Os,
@@ -391,22 +342,13 @@ impl SimOutcome {
     /// first call — simulation itself never pays for the snapshot.
     pub fn stats(&self) -> &StatSet {
         self.stats.get_or_init(|| {
-            let mut stats = assemble_stats(
+            assemble_stats(
                 self.makespan,
                 self.threads.iter().map(|t| t.stats()),
                 &self.os,
                 &self.mem,
                 self.shootdowns,
-            );
-            // Sharded runs report their barrier-protocol cost; the keys are
-            // simply absent from serial runs so stat diffs between engines
-            // stay honest.
-            if let Some(sync) = &self.sync {
-                stats.put("sync.windows", sync.windows as f64);
-                stats.put("sync.crossings", sync.crossings as f64);
-                stats.put("sync.barrier_wait_cycles", sync.barrier_wait_cycles as f64);
-            }
-            stats
+            )
         })
     }
 
@@ -424,28 +366,6 @@ impl SimOutcome {
     pub fn wall_micros(&self, design: &SystemDesign) -> f64 {
         self.makespan.as_micros(design.system_mhz)
     }
-
-    /// Human-readable run-health warnings for summary reports. Today this
-    /// flags one condition: a sharded run whose shards spent most of their
-    /// cycles idle at window barriers — the parallelism is not paying and
-    /// a larger `shard_window` (or fewer shards) would.
-    pub fn summary_warnings(&self) -> Vec<String> {
-        let mut warnings = Vec::new();
-        if let Some(sync) = &self.sync {
-            let frac = sync.barrier_wait_fraction();
-            if sync.windows > 0 && frac > 0.5 {
-                warnings.push(format!(
-                    "barrier wait dominates: {:.0}% of shard-cycles idle across {} windows \
-                     ({} shards, window {} cycles) — raise shard_window or lower shards",
-                    frac * 100.0,
-                    sync.windows,
-                    sync.shards,
-                    sync.window_len,
-                ));
-            }
-        }
-        warnings
-    }
 }
 
 // The size gap between the variants is fine: bodies live in a short Vec
@@ -453,13 +373,13 @@ impl SimOutcome {
 // on every scheduler step.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
-pub(crate) enum Body {
+enum Body {
     Sw(SwExec),
     Hw(HwThread),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Phase {
+enum Phase {
     Pre(usize),
     Run,
     Post(usize),
@@ -467,44 +387,44 @@ pub(crate) enum Phase {
 }
 
 #[derive(Debug)]
-pub(crate) struct ThreadRt {
-    pub(crate) name: String,
-    pub(crate) placement: Placement,
-    pub(crate) body: Body,
-    pub(crate) pre: Vec<SyncAction>,
-    pub(crate) post: Vec<SyncAction>,
-    pub(crate) phase: Phase,
-    pub(crate) start: Cycle,
-    pub(crate) end: Option<Cycle>,
-    pub(crate) ret: Option<i64>,
+struct ThreadRt {
+    name: String,
+    placement: Placement,
+    body: Body,
+    pre: Vec<SyncAction>,
+    post: Vec<SyncAction>,
+    phase: Phase,
+    start: Cycle,
+    end: Option<Cycle>,
+    ret: Option<i64>,
 }
 
 #[derive(Debug)]
-pub(crate) struct SystemState {
-    pub(crate) mem: MemorySystem,
-    pub(crate) os: Os,
-    pub(crate) asid: Asid,
-    pub(crate) threads: Vec<ThreadRt>,
-    pub(crate) sync_ids: Vec<u32>,
-    pub(crate) quantum: u64,
-    pub(crate) finished: usize,
-    pub(crate) error: Option<SimError>,
+struct SystemState {
+    mem: MemorySystem,
+    os: Os,
+    asid: Asid,
+    threads: Vec<ThreadRt>,
+    sync_ids: Vec<u32>,
+    quantum: u64,
+    finished: usize,
+    error: Option<SimError>,
     /// Per-hardware-thread consecutive-fault streak `(mem_ops_issued,
     /// count, first)`; cleared on any step that makes progress.
-    pub(crate) fault_streaks: Vec<Option<(u64, u32, Cycle)>>,
+    fault_streaks: Vec<Option<(u64, u32, Cycle)>>,
     /// Per-access fault-retry budget (0 = disabled).
-    pub(crate) retry_budget: u32,
+    retry_budget: u32,
     /// Per-target TLB shootdowns broadcast so far.
-    pub(crate) shootdowns: u64,
+    shootdowns: u64,
     /// Mirror of every scheduler-resident step event `(fire time, insertion
     /// sequence, thread)`. The scheduler's closures cannot be serialized,
     /// but every event in this system is "step thread `i` at cycle `t`", so
     /// the snapshot records this registry instead and restore re-schedules
     /// equivalent closures in original insertion order. Each closure
     /// unregisters its own entry as it fires.
-    pub(crate) pending_steps: Vec<(Cycle, u64, u32)>,
+    pending_steps: Vec<(Cycle, u64, u32)>,
     /// Monotonic insertion counter backing `pending_steps` ordering.
-    pub(crate) next_step_seq: u64,
+    next_step_seq: u64,
 }
 
 /// Broadcasts the OS's queued reclaim shootdowns to every hardware MMU
@@ -819,7 +739,112 @@ impl<'d> Sim<'d> {
     /// Returns [`SimError::Os`] when setup fails (e.g. out of memory for
     /// buffers).
     pub fn new(design: &'d SystemDesign, cfg: &SimConfig) -> Result<Sim<'d>, SimError> {
-        let (mut state, buffer_vas) = boot_system(design, cfg)?;
+        let app = &design.app;
+        let platform = &design.platform;
+        let mut mem = MemorySystem::new(platform.mem.clone());
+        let mut os = Os::new(&platform.os, &mem);
+        let asid = os.create_space(&mut mem)?;
+
+        // Buffers.
+        let mut buffer_vas = Vec::with_capacity(app.buffers.len());
+        for b in &app.buffers {
+            let va = os.mmap(asid, b.len.max(1), true, b.populate, &mut mem)?;
+            if !b.init.is_empty() {
+                os.copy_in(asid, va, &b.init, &mut mem)?;
+            }
+            buffer_vas.push(va);
+        }
+
+        // Sync objects.
+        let sync_ids: Vec<u32> = app
+            .sync_objects
+            .iter()
+            .map(|s| match s {
+                SyncSpec::Mutex => os.sync.create_mutex(),
+                SyncSpec::Semaphore(n) => os.sync.create_sem(*n),
+                SyncSpec::Barrier(n) => os.sync.create_barrier(*n),
+                SyncSpec::Mbox(c) => os.sync.create_mbox(*c),
+            })
+            .collect();
+
+        // Threads.
+        let root = os.space(asid).root();
+        let mut threads = Vec::with_capacity(app.threads.len());
+        for (i, spec) in app.threads.iter().enumerate() {
+            let args: Vec<i64> = spec
+                .args
+                .iter()
+                .map(|a| match a {
+                    crate::app::ArgSpec::Buffer(bi, off) => (buffer_vas[*bi].0 + off) as i64,
+                    crate::app::ArgSpec::Value(v) => *v,
+                })
+                .collect();
+            let master = MasterId(i as u16 + 1);
+            // Attach every configured master up front: a thread that wedges
+            // before its first transaction still gets its (all-zero) fabric
+            // stats row, so starvation is visible instead of silent.
+            mem.attach_master(master);
+            let body = match design.placements[i] {
+                Placement::Hardware => {
+                    let ck = design.threads[i]
+                        .compiled
+                        .clone()
+                        .expect("hardware thread must have a compiled kernel");
+                    let mut hw = HwThread::new(
+                        ck,
+                        &args,
+                        &HwThreadConfig {
+                            memif: platform.memif,
+                        },
+                        master,
+                    );
+                    hw.set_context(asid, root);
+                    Body::Hw(hw)
+                }
+                Placement::Software => Body::Sw(SwExec::new(
+                    ThreadId(i as u32),
+                    asid,
+                    Arc::clone(&spec.decoded),
+                    &args,
+                    SwExecConfig::with_master(master),
+                )),
+            };
+            // Thread spawn is serialized through the parent (one syscall
+            // each).
+            let start = Cycle(i as u64 * os.costs.syscall);
+            threads.push(ThreadRt {
+                name: spec.name.clone(),
+                placement: design.placements[i],
+                body,
+                pre: spec.pre.clone(),
+                post: spec.post.clone(),
+                phase: Phase::Pre(0),
+                start,
+                end: None,
+                ret: None,
+            });
+        }
+
+        let n_threads = threads.len();
+        let mut state = SystemState {
+            mem,
+            os,
+            asid,
+            threads,
+            sync_ids,
+            quantum: cfg.quantum,
+            finished: 0,
+            error: None,
+            fault_streaks: vec![None; n_threads],
+            retry_budget: cfg.fault_retry_budget,
+            shootdowns: 0,
+            pending_steps: Vec::new(),
+            next_step_seq: 0,
+        };
+        // Setup-time population/copy-in may already have reclaimed under a
+        // tight frame budget; broadcast those shootdowns before anything
+        // runs.
+        drain_shootdowns(&mut state);
         // One step event per live thread is in flight at a time, plus wake
         // events: size the slab once so the hot loop never reallocates it.
         let mut sched: Sched = Scheduler::with_capacity(state.threads.len() * 2 + 8);
@@ -839,128 +864,7 @@ impl<'d> Sim<'d> {
             last_pause_events: 0,
         })
     }
-}
 
-/// Boots the OS, maps the application's buffers, creates the sync objects,
-/// and instantiates every thread — the design-to-system elaboration shared
-/// by the serial engine ([`Sim::new`]) and the sharded coordinator
-/// ([`crate::shard`]). Returns the booted [`SystemState`] with no events
-/// scheduled yet (`pending_steps` empty, `next_step_seq` 0) plus the buffer
-/// base addresses.
-pub(crate) fn boot_system(
-    design: &SystemDesign,
-    cfg: &SimConfig,
-) -> Result<(SystemState, Vec<VirtAddr>), SimError> {
-    let app = &design.app;
-    let platform = &design.platform;
-    let mut mem = MemorySystem::new(platform.mem.clone());
-    let mut os = Os::new(&platform.os, &mem);
-    let asid = os.create_space(&mut mem)?;
-
-    // Buffers.
-    let mut buffer_vas = Vec::with_capacity(app.buffers.len());
-    for b in &app.buffers {
-        let va = os.mmap(asid, b.len.max(1), true, b.populate, &mut mem)?;
-        if !b.init.is_empty() {
-            os.copy_in(asid, va, &b.init, &mut mem)?;
-        }
-        buffer_vas.push(va);
-    }
-
-    // Sync objects.
-    let sync_ids: Vec<u32> = app
-        .sync_objects
-        .iter()
-        .map(|s| match s {
-            SyncSpec::Mutex => os.sync.create_mutex(),
-            SyncSpec::Semaphore(n) => os.sync.create_sem(*n),
-            SyncSpec::Barrier(n) => os.sync.create_barrier(*n),
-            SyncSpec::Mbox(c) => os.sync.create_mbox(*c),
-        })
-        .collect();
-
-    // Threads.
-    let root = os.space(asid).root();
-    let mut threads = Vec::with_capacity(app.threads.len());
-    for (i, spec) in app.threads.iter().enumerate() {
-        let args: Vec<i64> = spec
-            .args
-            .iter()
-            .map(|a| match a {
-                crate::app::ArgSpec::Buffer(bi, off) => (buffer_vas[*bi].0 + off) as i64,
-                crate::app::ArgSpec::Value(v) => *v,
-            })
-            .collect();
-        let master = MasterId(i as u16 + 1);
-        // Attach every configured master up front: a thread that wedges
-        // before its first transaction still gets its (all-zero) fabric
-        // stats row, so starvation is visible instead of silent.
-        mem.attach_master(master);
-        let body = match design.placements[i] {
-            Placement::Hardware => {
-                let ck = design.threads[i]
-                    .compiled
-                    .clone()
-                    .expect("hardware thread must have a compiled kernel");
-                let mut hw = HwThread::new(
-                    ck,
-                    &args,
-                    &HwThreadConfig {
-                        memif: platform.memif,
-                    },
-                    master,
-                );
-                hw.set_context(asid, root);
-                Body::Hw(hw)
-            }
-            Placement::Software => Body::Sw(SwExec::new(
-                ThreadId(i as u32),
-                asid,
-                Arc::clone(&spec.decoded),
-                &args,
-                SwExecConfig::with_master(master),
-            )),
-        };
-        // Thread spawn is serialized through the parent (one syscall
-        // each).
-        let start = Cycle(i as u64 * os.costs.syscall);
-        threads.push(ThreadRt {
-            name: spec.name.clone(),
-            placement: design.placements[i],
-            body,
-            pre: spec.pre.clone(),
-            post: spec.post.clone(),
-            phase: Phase::Pre(0),
-            start,
-            end: None,
-            ret: None,
-        });
-    }
-
-    let n_threads = threads.len();
-    let mut state = SystemState {
-        mem,
-        os,
-        asid,
-        threads,
-        sync_ids,
-        quantum: cfg.quantum,
-        finished: 0,
-        error: None,
-        fault_streaks: vec![None; n_threads],
-        retry_budget: cfg.fault_retry_budget,
-        shootdowns: 0,
-        pending_steps: Vec::new(),
-        next_step_seq: 0,
-    };
-    // Setup-time population/copy-in may already have reclaimed under a
-    // tight frame budget; broadcast those shootdowns before anything
-    // runs.
-    drain_shootdowns(&mut state);
-    Ok((state, buffer_vas))
-}
-
-impl<'d> Sim<'d> {
     /// The current simulation time.
     pub fn now(&self) -> Cycle {
         self.sched.now()
@@ -1171,28 +1075,62 @@ impl<'d> Sim<'d> {
     /// The bytes are a pure function of logical state: re-snapshotting a
     /// restored run yields the identical image.
     pub fn snapshot(&self) -> Checkpoint {
+        let mut w = SnapWriter::new();
+        // Scheduler position.
+        w.put_u64(self.sched.now().0);
+        w.put_u64(self.sched.events_fired());
+        w.put_u64(self.sched.events_scheduled());
+        // Fault-rate watchdog anchor.
+        w.put_u64(self.window_start.0);
+        w.put_u64(self.window_base_faults);
+        // Address-space layout.
+        let vas: Vec<u64> = self.buffer_vas.iter().map(|v| v.0).collect();
+        vas.save(&mut w);
         let s = &self.state;
-        write_snapshot(
-            self.design,
-            SnapshotView {
-                now: self.sched.now(),
-                fired: self.sched.events_fired(),
-                scheduled: self.sched.events_scheduled(),
-                window_start: self.window_start,
-                window_base_faults: self.window_base_faults,
-                buffer_vas: &self.buffer_vas,
-                mem: &s.mem,
-                os: &s.os,
-                asid: s.asid,
-                sync_ids: &s.sync_ids,
-                finished: s.finished,
-                fault_streaks: s.fault_streaks.clone(),
-                shootdowns: s.shootdowns,
-                threads: s.threads.iter().collect(),
-                next_step_seq: s.next_step_seq,
-                steps: s.pending_steps.clone(),
-            },
-        )
+        s.mem.save_state(&mut w);
+        s.os.save_state(&mut w);
+        s.asid.save(&mut w);
+        s.sync_ids.save(&mut w);
+        w.put_u64(s.finished as u64);
+        s.fault_streaks.save(&mut w);
+        w.put_u64(s.shootdowns);
+        // Per-thread runtime state. Names, placements, and sync scripts are
+        // design-side and re-supplied at restore.
+        for t in &s.threads {
+            match &t.body {
+                Body::Sw(sw) => {
+                    w.put_u8(0);
+                    sw.save_state(&mut w);
+                }
+                Body::Hw(hw) => {
+                    w.put_u8(1);
+                    hw.save_state(&mut w);
+                }
+            }
+            let (tag, k) = match t.phase {
+                Phase::Pre(k) => (0u8, k as u64),
+                Phase::Run => (1, 0),
+                Phase::Post(k) => (2, k as u64),
+                Phase::Done => (3, 0),
+            };
+            w.put_u8(tag);
+            w.put_u64(k);
+            t.start.save(&mut w);
+            t.end.save(&mut w);
+            t.ret.save(&mut w);
+        }
+        // The event mirror, sorted into firing order `(time, insertion
+        // seq)`: the live Vec's order depends on swap-remove history, which
+        // is not logical state.
+        w.put_u64(s.next_step_seq);
+        let mut steps = s.pending_steps.clone();
+        steps.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
+        steps.save(&mut w);
+        Checkpoint::from_bytes(svmsyn_snap::write_image(
+            SNAPSHOT_VERSION,
+            design_fingerprint(self.design),
+            &w.into_bytes(),
+        ))
     }
 
     /// Rebuilds a simulation from a checkpoint image, validated end to end:
@@ -1218,24 +1156,111 @@ impl<'d> Sim<'d> {
         cfg: &SimConfig,
         checkpoint: &Checkpoint,
     ) -> Result<Sim<'d>, SnapError> {
-        let SnapshotParts {
-            now,
-            fired,
-            scheduled,
-            window_start,
-            window_base_faults,
-            buffer_vas,
-            mem,
-            os,
-            asid,
-            sync_ids,
-            finished,
-            fault_streaks,
-            shootdowns,
-            threads,
-            next_step_seq,
-            mut steps,
-        } = read_snapshot(design, checkpoint)?;
+        let (fingerprint, payload) =
+            svmsyn_snap::read_image(checkpoint.as_bytes(), SNAPSHOT_VERSION)?;
+        let expected = design_fingerprint(design);
+        if fingerprint != expected {
+            return Err(SnapError::DesignMismatch {
+                found: fingerprint,
+                expected,
+            });
+        }
+        let r = &mut SnapReader::new(payload);
+        let now = Cycle(r.take_u64()?);
+        let fired = r.take_u64()?;
+        let scheduled = r.take_u64()?;
+        let window_start = Cycle(r.take_u64()?);
+        let window_base_faults = r.take_u64()?;
+        let buffer_vas: Vec<VirtAddr> = Vec::<u64>::load(r)?.into_iter().map(VirtAddr).collect();
+        let platform = &design.platform;
+        let mem = MemorySystem::restore_state(&platform.mem, r)?;
+        let os = Os::restore_state(&platform.os, r)?;
+        let asid = Asid::load(r)?;
+        let sync_ids = Vec::<u32>::load(r)?;
+        let finished = r.take_u64()? as usize;
+        let fault_streaks = Vec::<Option<(u64, u32, Cycle)>>::load(r)?;
+        let shootdowns = r.take_u64()?;
+
+        let app = &design.app;
+        let mut threads = Vec::with_capacity(app.threads.len());
+        for (i, spec) in app.threads.iter().enumerate() {
+            let master = MasterId(i as u16 + 1);
+            let tag = r.take_u8()?;
+            let body = match (tag, design.placements[i]) {
+                (0, Placement::Software) => Body::Sw(SwExec::restore_state(
+                    Arc::clone(&spec.decoded),
+                    SwExecConfig::with_master(master),
+                    r,
+                )?),
+                (1, Placement::Hardware) => {
+                    let ck = design.threads[i]
+                        .compiled
+                        .clone()
+                        .ok_or(SnapError::Corrupt(
+                            "hardware thread without compiled kernel",
+                        ))?;
+                    Body::Hw(HwThread::restore_state(
+                        ck,
+                        &HwThreadConfig {
+                            memif: platform.memif,
+                        },
+                        master,
+                        r,
+                    )?)
+                }
+                _ => return Err(SnapError::Corrupt("thread body tag vs placement")),
+            };
+            let ptag = r.take_u8()?;
+            let k = r.take_u64()? as usize;
+            let phase = match ptag {
+                0 if k <= spec.pre.len() => Phase::Pre(k),
+                1 => Phase::Run,
+                2 if k <= spec.post.len() => Phase::Post(k),
+                3 => Phase::Done,
+                _ => return Err(SnapError::Corrupt("thread phase")),
+            };
+            let start = Cycle::load(r)?;
+            let end = Option::<Cycle>::load(r)?;
+            let ret = Option::<i64>::load(r)?;
+            threads.push(ThreadRt {
+                name: spec.name.clone(),
+                placement: design.placements[i],
+                body,
+                pre: spec.pre.clone(),
+                post: spec.post.clone(),
+                phase,
+                start,
+                end,
+                ret,
+            });
+        }
+
+        let next_step_seq = r.take_u64()?;
+        let mut steps = Vec::<(Cycle, u64, u32)>::load(r)?;
+        if r.remaining() != 0 {
+            return Err(SnapError::Corrupt("trailing bytes after payload"));
+        }
+        if finished > threads.len() {
+            return Err(SnapError::Corrupt("finished-thread count"));
+        }
+        if fault_streaks.len() != threads.len() {
+            return Err(SnapError::Corrupt("fault-streak table size"));
+        }
+        if steps.len() as u64 > scheduled {
+            return Err(SnapError::Corrupt("pending-step count"));
+        }
+        for &(at, seq, t) in &steps {
+            if t as usize >= threads.len() {
+                return Err(SnapError::Corrupt("pending-step thread index"));
+            }
+            if at < now {
+                return Err(SnapError::Corrupt("pending-step fire time"));
+            }
+            if seq >= next_step_seq {
+                return Err(SnapError::Corrupt("pending-step sequence"));
+            }
+        }
+
         let mut state = SystemState {
             mem,
             os,
@@ -1334,7 +1359,6 @@ impl<'d> Sim<'d> {
             os: self.state.os,
             asid: self.state.asid,
             shootdowns: self.state.shootdowns,
-            sync: None,
         })
     }
 }
@@ -1347,261 +1371,9 @@ impl<'d> Sim<'d> {
 /// Returns [`SimError`] on setup failure, segmentation fault, deadlock, or
 /// budget exhaustion — the budget errors carry a resumable checkpoint.
 pub fn simulate(design: &SystemDesign, cfg: &SimConfig) -> Result<SimOutcome, SimError> {
-    // Sharded dispatch: when the planner grants more than one shard the
-    // run goes through the parallel engine. `shards <= 1` (and every
-    // design the planner forces serial) takes the classic single-wheel
-    // path below, untouched.
-    if crate::shard::planned_shards(design, cfg) > 1 {
-        return crate::shard::simulate_sharded(design, cfg, crate::shard::ExecMode::Parallel);
-    }
     let mut sim = Sim::new(design, cfg)?;
     while !matches!(sim.run()?, RunProgress::Complete) {}
     sim.finish()
-}
-
-/// A borrowed view of everything a snapshot image records, in engine-
-/// neutral form: the serial engine fills it from its wheel and
-/// [`SystemState`]; the sharded coordinator fills it from its barrier
-/// state (merged memory, per-shard thread homes, control queue + shard
-/// mirrors). [`write_snapshot`] serializes the view into the one shared
-/// image format, which is what makes serial and sharded checkpoints
-/// interchangeable.
-pub(crate) struct SnapshotView<'a> {
-    pub(crate) now: Cycle,
-    pub(crate) fired: u64,
-    pub(crate) scheduled: u64,
-    pub(crate) window_start: Cycle,
-    pub(crate) window_base_faults: u64,
-    pub(crate) buffer_vas: &'a [VirtAddr],
-    pub(crate) mem: &'a MemorySystem,
-    pub(crate) os: &'a Os,
-    pub(crate) asid: Asid,
-    pub(crate) sync_ids: &'a [u32],
-    pub(crate) finished: usize,
-    pub(crate) fault_streaks: Vec<Option<(u64, u32, Cycle)>>,
-    pub(crate) shootdowns: u64,
-    /// Thread runtimes in application order.
-    pub(crate) threads: Vec<&'a ThreadRt>,
-    pub(crate) next_step_seq: u64,
-    /// Pending step events, any order (sorted into `(time, seq)` here).
-    pub(crate) steps: Vec<(Cycle, u64, u32)>,
-}
-
-/// Serializes a [`SnapshotView`] into a versioned, checksummed,
-/// fingerprinted checkpoint image. The byte layout is the format both
-/// engines read and write; the bytes are a pure function of the view.
-pub(crate) fn write_snapshot(design: &SystemDesign, v: SnapshotView<'_>) -> Checkpoint {
-    let mut w = SnapWriter::new();
-    // Scheduler position.
-    w.put_u64(v.now.0);
-    w.put_u64(v.fired);
-    w.put_u64(v.scheduled);
-    // Fault-rate watchdog anchor.
-    w.put_u64(v.window_start.0);
-    w.put_u64(v.window_base_faults);
-    // Address-space layout.
-    let vas: Vec<u64> = v.buffer_vas.iter().map(|b| b.0).collect();
-    vas.save(&mut w);
-    v.mem.save_state(&mut w);
-    v.os.save_state(&mut w);
-    v.asid.save(&mut w);
-    v.sync_ids.to_vec().save(&mut w);
-    w.put_u64(v.finished as u64);
-    v.fault_streaks.save(&mut w);
-    w.put_u64(v.shootdowns);
-    // Per-thread runtime state. Names, placements, and sync scripts are
-    // design-side and re-supplied at restore.
-    for t in &v.threads {
-        match &t.body {
-            Body::Sw(sw) => {
-                w.put_u8(0);
-                sw.save_state(&mut w);
-            }
-            Body::Hw(hw) => {
-                w.put_u8(1);
-                hw.save_state(&mut w);
-            }
-        }
-        let (tag, k) = match t.phase {
-            Phase::Pre(k) => (0u8, k as u64),
-            Phase::Run => (1, 0),
-            Phase::Post(k) => (2, k as u64),
-            Phase::Done => (3, 0),
-        };
-        w.put_u8(tag);
-        w.put_u64(k);
-        t.start.save(&mut w);
-        t.end.save(&mut w);
-        t.ret.save(&mut w);
-    }
-    // The event mirror, sorted into firing order `(time, insertion
-    // seq)`: the live mirror's order depends on swap-remove history, which
-    // is not logical state.
-    w.put_u64(v.next_step_seq);
-    let mut steps = v.steps;
-    steps.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
-    steps.save(&mut w);
-    Checkpoint::from_bytes(svmsyn_snap::write_image(
-        SNAPSHOT_VERSION,
-        design_fingerprint(design),
-        &w.into_bytes(),
-    ))
-}
-
-/// Everything [`read_snapshot`] parses out of a checkpoint image — the
-/// owned counterpart of [`SnapshotView`], ready for either engine to
-/// rebuild from.
-pub(crate) struct SnapshotParts {
-    pub(crate) now: Cycle,
-    pub(crate) fired: u64,
-    pub(crate) scheduled: u64,
-    pub(crate) window_start: Cycle,
-    pub(crate) window_base_faults: u64,
-    pub(crate) buffer_vas: Vec<VirtAddr>,
-    pub(crate) mem: MemorySystem,
-    pub(crate) os: Os,
-    pub(crate) asid: Asid,
-    pub(crate) sync_ids: Vec<u32>,
-    pub(crate) finished: usize,
-    pub(crate) fault_streaks: Vec<Option<(u64, u32, Cycle)>>,
-    pub(crate) shootdowns: u64,
-    pub(crate) threads: Vec<ThreadRt>,
-    pub(crate) next_step_seq: u64,
-    /// Pending steps, validated (in-range thread, `at >= now`,
-    /// `seq < next_step_seq`) but in image order — sort by `(at, seq)`
-    /// before re-scheduling.
-    pub(crate) steps: Vec<(Cycle, u64, u32)>,
-}
-
-/// Parses and validates a checkpoint image end to end: magic, version,
-/// checksum, design fingerprint, then every field range. Shared by the
-/// serial restore path and the sharded coordinator's restore.
-pub(crate) fn read_snapshot(
-    design: &SystemDesign,
-    checkpoint: &Checkpoint,
-) -> Result<SnapshotParts, SnapError> {
-    let (fingerprint, payload) = svmsyn_snap::read_image(checkpoint.as_bytes(), SNAPSHOT_VERSION)?;
-    let expected = design_fingerprint(design);
-    if fingerprint != expected {
-        return Err(SnapError::DesignMismatch {
-            found: fingerprint,
-            expected,
-        });
-    }
-    let r = &mut SnapReader::new(payload);
-    let now = Cycle(r.take_u64()?);
-    let fired = r.take_u64()?;
-    let scheduled = r.take_u64()?;
-    let window_start = Cycle(r.take_u64()?);
-    let window_base_faults = r.take_u64()?;
-    let buffer_vas: Vec<VirtAddr> = Vec::<u64>::load(r)?.into_iter().map(VirtAddr).collect();
-    let platform = &design.platform;
-    let mem = MemorySystem::restore_state(&platform.mem, r)?;
-    let os = Os::restore_state(&platform.os, r)?;
-    let asid = Asid::load(r)?;
-    let sync_ids = Vec::<u32>::load(r)?;
-    let finished = r.take_u64()? as usize;
-    let fault_streaks = Vec::<Option<(u64, u32, Cycle)>>::load(r)?;
-    let shootdowns = r.take_u64()?;
-
-    let app = &design.app;
-    let mut threads = Vec::with_capacity(app.threads.len());
-    for (i, spec) in app.threads.iter().enumerate() {
-        let master = MasterId(i as u16 + 1);
-        let tag = r.take_u8()?;
-        let body = match (tag, design.placements[i]) {
-            (0, Placement::Software) => Body::Sw(SwExec::restore_state(
-                Arc::clone(&spec.decoded),
-                SwExecConfig::with_master(master),
-                r,
-            )?),
-            (1, Placement::Hardware) => {
-                let ck = design.threads[i]
-                    .compiled
-                    .clone()
-                    .ok_or(SnapError::Corrupt(
-                        "hardware thread without compiled kernel",
-                    ))?;
-                Body::Hw(HwThread::restore_state(
-                    ck,
-                    &HwThreadConfig {
-                        memif: platform.memif,
-                    },
-                    master,
-                    r,
-                )?)
-            }
-            _ => return Err(SnapError::Corrupt("thread body tag vs placement")),
-        };
-        let ptag = r.take_u8()?;
-        let k = r.take_u64()? as usize;
-        let phase = match ptag {
-            0 if k <= spec.pre.len() => Phase::Pre(k),
-            1 => Phase::Run,
-            2 if k <= spec.post.len() => Phase::Post(k),
-            3 => Phase::Done,
-            _ => return Err(SnapError::Corrupt("thread phase")),
-        };
-        let start = Cycle::load(r)?;
-        let end = Option::<Cycle>::load(r)?;
-        let ret = Option::<i64>::load(r)?;
-        threads.push(ThreadRt {
-            name: spec.name.clone(),
-            placement: design.placements[i],
-            body,
-            pre: spec.pre.clone(),
-            post: spec.post.clone(),
-            phase,
-            start,
-            end,
-            ret,
-        });
-    }
-
-    let next_step_seq = r.take_u64()?;
-    let steps = Vec::<(Cycle, u64, u32)>::load(r)?;
-    if r.remaining() != 0 {
-        return Err(SnapError::Corrupt("trailing bytes after payload"));
-    }
-    if finished > threads.len() {
-        return Err(SnapError::Corrupt("finished-thread count"));
-    }
-    if fault_streaks.len() != threads.len() {
-        return Err(SnapError::Corrupt("fault-streak table size"));
-    }
-    if steps.len() as u64 > scheduled {
-        return Err(SnapError::Corrupt("pending-step count"));
-    }
-    for &(at, seq, t) in &steps {
-        if t as usize >= threads.len() {
-            return Err(SnapError::Corrupt("pending-step thread index"));
-        }
-        if at < now {
-            return Err(SnapError::Corrupt("pending-step fire time"));
-        }
-        if seq >= next_step_seq {
-            return Err(SnapError::Corrupt("pending-step sequence"));
-        }
-    }
-
-    Ok(SnapshotParts {
-        now,
-        fired,
-        scheduled,
-        window_start,
-        window_base_faults,
-        buffer_vas,
-        mem,
-        os,
-        asid,
-        sync_ids,
-        finished,
-        fault_streaks,
-        shootdowns,
-        threads,
-        next_step_seq,
-        steps,
-    })
 }
 
 #[cfg(test)]

@@ -39,11 +39,11 @@ impl Default for DramConfig {
 }
 
 #[derive(Debug, Clone)]
-pub(crate) struct Bank {
-    pub(crate) open_row: Option<u64>,
-    pub(crate) cal: FcfsResource,
-    pub(crate) hits: u64,
-    pub(crate) misses: u64,
+struct Bank {
+    open_row: Option<u64>,
+    cal: FcfsResource,
+    hits: u64,
+    misses: u64,
 }
 
 /// The banked DRAM timing model.
@@ -61,9 +61,9 @@ pub(crate) struct Bank {
 #[derive(Debug, Clone)]
 pub struct Dram {
     cfg: DramConfig,
-    pub(crate) banks: Vec<Bank>,
-    pub(crate) accesses: u64,
-    pub(crate) bytes: u64,
+    banks: Vec<Bank>,
+    accesses: u64,
+    bytes: u64,
 }
 
 impl Dram {

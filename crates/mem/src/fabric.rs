@@ -154,14 +154,14 @@ const RECORD_RING: usize = 4096;
 const COMPLETION_SLACK: usize = 8;
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct TxnRecord {
-    pub(crate) id: u64,
-    pub(crate) completion: Cycle,
-    pub(crate) next_issue: Cycle,
+struct TxnRecord {
+    id: u64,
+    completion: Cycle,
+    next_issue: Cycle,
 }
 
 #[derive(Debug, Clone, Default)]
-pub(crate) struct MasterStats {
+struct MasterStats {
     transactions: u64,
     bytes: u64,
     /// Cycles spent waiting for the address channel (post-window).
@@ -183,7 +183,7 @@ pub(crate) struct MasterStats {
 }
 
 #[derive(Debug, Clone)]
-pub(crate) struct MasterState {
+struct MasterState {
     /// Completion times of the last `window` transactions, a ring indexed by
     /// issue count: transaction `n` may not issue before transaction
     /// `n − window` completed.
@@ -243,29 +243,21 @@ pub struct SplitFabric {
     cfg: FabricConfig,
     /// Address channel; in the blocking configuration it is the unified bus
     /// and holds each transaction for the full address+data occupancy.
-    pub(crate) addr_bus: FcfsResource,
+    addr_bus: FcfsResource,
     /// Data channel (split mode only).
-    pub(crate) data_bus: FcfsResource,
-    pub(crate) masters: Vec<MasterState>,
+    data_bus: FcfsResource,
+    masters: Vec<MasterState>,
     /// In-flight read lines: `(line base, completion)`.
-    pub(crate) mshrs: Vec<(u64, Cycle)>,
+    mshrs: Vec<(u64, Cycle)>,
     /// Every in-flight transaction's `(master, first line, last line,
     /// completion)`. A merged read's completion is clamped to no earlier
     /// than its own master's in-flight traffic on the same line — the MSHR
     /// bypass must never reorder a master's same-line transactions
     /// (reads, writes, or earlier merges alike). Purged as entries retire,
     /// so the list stays at most `window` entries per master.
-    pub(crate) inflight_lines: Vec<(MasterId, u64, u64, Cycle)>,
-    pub(crate) records: Vec<Option<TxnRecord>>,
-    pub(crate) next_id: u64,
-    /// Transaction-id lane stride. The serial simulator keeps the default of
-    /// 1 (dense ids). The sharded core gives each shard's fabric replica a
-    /// disjoint id lane (`start + k * stride`) so transactions issued
-    /// concurrently on different shards can never collide — and, because the
-    /// stride is a power of two dividing [`RECORD_RING`], different lanes can
-    /// never alias the same record-ring slot. Transient merge bookkeeping:
-    /// deliberately not serialized (restore re-derives lanes).
-    pub(crate) id_stride: u64,
+    inflight_lines: Vec<(MasterId, u64, u64, Cycle)>,
+    records: Vec<Option<TxnRecord>>,
+    next_id: u64,
 }
 
 impl SplitFabric {
@@ -291,28 +283,7 @@ impl SplitFabric {
             inflight_lines: Vec::new(),
             records: vec![None; RECORD_RING],
             next_id: 0,
-            id_stride: 1,
         }
-    }
-
-    /// Moves this fabric replica onto a disjoint transaction-id lane: ids
-    /// issue as `start, start + stride, start + 2*stride, ...`. Used by the
-    /// sharded simulation core; the serial path never calls this and keeps
-    /// dense ids (`stride == 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `stride` is a power of two dividing the record ring
-    /// (lanes must never alias a ring slot) and `start` is at least the
-    /// current `next_id` (ids stay monotone).
-    pub fn set_id_lane(&mut self, start: u64, stride: u64) {
-        assert!(
-            stride.is_power_of_two() && (RECORD_RING as u64).is_multiple_of(stride),
-            "id lane stride must be a power of two dividing the record ring"
-        );
-        assert!(start >= self.next_id, "id lane must not reuse issued ids");
-        self.next_id = start;
-        self.id_stride = stride;
     }
 
     /// The configuration this fabric was built with.
@@ -320,7 +291,7 @@ impl SplitFabric {
         &self.cfg
     }
 
-    pub(crate) fn master_state(&mut self, master: MasterId) -> &mut MasterState {
+    fn master_state(&mut self, master: MasterId) -> &mut MasterState {
         let idx = master.0 as usize;
         if idx >= self.masters.len() {
             let window = self.cfg.window;
@@ -458,7 +429,7 @@ impl SplitFabric {
         }
 
         let id = TxnId(self.next_id);
-        self.next_id += self.id_stride;
+        self.next_id += 1;
         self.records[(id.0 % RECORD_RING as u64) as usize] = Some(TxnRecord {
             id: id.0,
             completion,

@@ -31,7 +31,6 @@ pub mod addr;
 pub mod cache;
 pub mod dram;
 pub mod fabric;
-pub mod merge;
 pub mod reference;
 pub mod store;
 pub mod system;

@@ -65,12 +65,6 @@ pub struct SparseMemory {
     /// (frames are never removed), so entries never go stale.
     memo: [std::cell::Cell<(u64, u32)>; MEMO_SLOTS],
     size: u64,
-    /// Dirty-frame journal for the sharded simulation core: when enabled,
-    /// every frame that passes through [`frame_mut`](Self::frame_mut) is
-    /// recorded so window barriers can fold only the frames a shard actually
-    /// touched. Not part of the snapshot format — it is transient merge
-    /// bookkeeping, never simulated state.
-    journal: Option<std::collections::BTreeSet<u64>>,
 }
 
 impl SparseMemory {
@@ -89,24 +83,6 @@ impl SparseMemory {
             pages: Vec::new(),
             memo: [const { std::cell::Cell::new((MEMO_EMPTY, 0)) }; MEMO_SLOTS],
             size,
-            journal: None,
-        }
-    }
-
-    /// Starts (or clears) dirty-frame journaling. Every subsequent mutation
-    /// records its frame number until [`take_journal`](Self::take_journal)
-    /// drains the set.
-    pub fn enable_journal(&mut self) {
-        self.journal = Some(std::collections::BTreeSet::new());
-    }
-
-    /// Drains the dirty-frame journal, returning the touched frame numbers in
-    /// ascending order. Returns an empty vec when journaling is disabled.
-    /// Journaling stays enabled after the drain.
-    pub fn take_journal(&mut self) -> Vec<u64> {
-        match &mut self.journal {
-            Some(j) => std::mem::take(j).into_iter().collect(),
-            None => Vec::new(),
         }
     }
 
@@ -129,7 +105,7 @@ impl SparseMemory {
     }
 
     /// Looks up a materialized frame, memo first.
-    pub(crate) fn frame(&self, frame: u64) -> Option<&[u8]> {
+    fn frame(&self, frame: u64) -> Option<&[u8]> {
         let slot = &self.memo[(frame as usize) & (MEMO_SLOTS - 1)];
         let (k, idx) = slot.get();
         if k == frame {
@@ -140,10 +116,7 @@ impl SparseMemory {
         Some(&self.pages[idx as usize])
     }
 
-    pub(crate) fn frame_mut(&mut self, frame: u64) -> &mut [u8] {
-        if let Some(j) = &mut self.journal {
-            j.insert(frame);
-        }
+    fn frame_mut(&mut self, frame: u64) -> &mut [u8] {
         let slot = (frame as usize) & (MEMO_SLOTS - 1);
         let (k, idx) = self.memo[slot].get();
         let idx = if k == frame {

@@ -92,12 +92,12 @@ impl LeScalar for u64 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
-    pub(crate) store: SparseMemory,
-    pub(crate) fabric: SplitFabric,
-    pub(crate) dram: Dram,
+    store: SparseMemory,
+    fabric: SplitFabric,
+    dram: Dram,
     max_burst: u64,
-    pub(crate) reads: u64,
-    pub(crate) writes: u64,
+    reads: u64,
+    writes: u64,
 }
 
 impl MemorySystem {
@@ -462,36 +462,6 @@ impl MemorySystem {
     }
 
     /// Fabric view (for utilization and overlap reporting).
-    /// Minimum cycles between a master issuing a transaction and its
-    /// earliest possible completion: the address-phase arbitration plus a
-    /// row-hit access of a single beat. The sharded simulation core derives
-    /// its conservative lookahead window from this bound.
-    pub fn min_issue_to_complete(&self) -> u64 {
-        self.fabric.config().arb_cycles + self.dram.config().t_row_hit + 1
-    }
-
-    /// Starts (or clears) dirty-frame journaling on the backing store (see
-    /// [`SparseMemory::enable_journal`]).
-    pub fn enable_store_journal(&mut self) {
-        self.store.enable_journal();
-    }
-
-    /// Drains the backing store's dirty-frame journal.
-    pub fn take_store_journal(&mut self) -> Vec<u64> {
-        self.store.take_journal()
-    }
-
-    /// Moves this replica's fabric onto a disjoint transaction-id lane (see
-    /// [`SplitFabric::set_id_lane`]).
-    pub fn set_fabric_id_lane(&mut self, start: u64, stride: u64) {
-        self.fabric.set_id_lane(start, stride);
-    }
-
-    /// The fabric's next unissued transaction id (lane-aware).
-    pub fn fabric_next_txn_id(&self) -> u64 {
-        self.fabric.next_id
-    }
-
     pub fn fabric(&self) -> &SplitFabric {
         &self.fabric
     }

@@ -293,9 +293,8 @@ pub struct SweepService {
 }
 
 impl SweepService {
-    /// Creates a service with `workers` pool threads (`0` = auto-sized
-    /// from the host cores and the queued jobs' shard counts at drain
-    /// time) over an optional caller-opened store handle — one handle,
+    /// Creates a service with `workers` pool threads (`0` = one per host
+    /// core) over an optional caller-opened store handle — one handle,
     /// shared by every worker and every job, so cross-job overlap turns
     /// into cache hits. Returns the service plus the progress-event
     /// receiver; drop the receiver if you don't care about streaming.
@@ -340,10 +339,7 @@ impl SweepService {
     ///
     /// Parallelism composes multiplicatively with the DSE engine's own
     /// batch workers — keep `SweepJob::dse.threads` at 1 when the service
-    /// pool already saturates the host. Jobs running sharded simulations
-    /// (`SweepJob::dse.sim.shards > 1`) multiply the same way, so the pool
-    /// is budgeted down with [`svmsyn::worker_budget`] against the widest
-    /// shard count in the queue.
+    /// pool already saturates the host.
     pub fn drain(self) -> ServeReport {
         let SweepService {
             jobs,
@@ -355,14 +351,12 @@ impl SweepService {
         let results: Mutex<Vec<Option<CellResult>>> = Mutex::new(vec![None; total_cells(&jobs)]);
         let cell_base = cell_offsets(&jobs);
         let next_job = AtomicUsize::new(0);
-        let widest_shards = jobs
-            .iter()
-            .map(|j| j.dse.sim.shards as usize)
-            .max()
-            .unwrap_or(1);
-        let pool = svmsyn::worker_budget(workers, widest_shards)
-            .min(jobs.len())
-            .max(1);
+        let pool = match workers {
+            0 => svmsyn::host_cores(),
+            n => n,
+        }
+        .min(jobs.len())
+        .max(1);
 
         thread::scope(|scope| {
             for _ in 0..pool {

@@ -67,10 +67,9 @@ const INLINE_WORDS: usize = INLINE_EVENT_BYTES / 8;
 type CallFn<M> = unsafe fn(*mut MaybeUninit<u64>, &mut M, &mut Scheduler<M>);
 type DropFn = unsafe fn(*mut MaybeUninit<u64>);
 /// Every stored closure is `Send` (the schedule methods require it), so the
-/// erased storage is `Send` too — which is what lets a whole scheduler (a
-/// shard's wheel) migrate to a worker thread between lookahead windows. The
-/// marker states that contract where the type erasure would otherwise hide
-/// it from auto-trait inference.
+/// erased storage is `Send` too — a scheduler may move to another thread
+/// with its pending events. The marker states that contract where the type
+/// erasure would otherwise hide it from auto-trait inference.
 type SendMarker<M> = PhantomData<Box<dyn FnOnce(&mut M) + Send>>;
 
 /// Type-erased event storage: a small inline buffer plus hand-rolled call

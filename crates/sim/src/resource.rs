@@ -103,33 +103,6 @@ impl FcfsResource {
         }
     }
 
-    /// Total queueing delay across all requests, in cycles.
-    pub fn total_wait(&self) -> u64 {
-        self.total_wait
-    }
-
-    /// Overwrites the calendar position without touching any counter.
-    ///
-    /// Used by the sharded simulation core when folding per-shard calendar
-    /// replicas back into the canonical one at a window barrier: the merged
-    /// `next_free` is recomputed from the replicas' busy deltas, while the
-    /// cumulative counters are reconciled separately (see
-    /// [`absorb_counter_deltas`](Self::absorb_counter_deltas)).
-    pub fn set_next_free(&mut self, t: Cycle) {
-        self.next_free = t;
-    }
-
-    /// Folds the counter *progress* another replica made since `base` into
-    /// this resource: `busy`, `ops`, and `total_wait` advance by the replica's
-    /// delta; `max_wait` takes the maximum. The calendar position
-    /// (`next_free`) is left untouched.
-    pub fn absorb_counter_deltas(&mut self, base: &FcfsResource, cur: &FcfsResource) {
-        self.busy += cur.busy - base.busy;
-        self.ops += cur.ops - base.ops;
-        self.total_wait += cur.total_wait - base.total_wait;
-        self.max_wait = self.max_wait.max(cur.max_wait);
-    }
-
     /// Resets all counters and frees the resource (used between benchmark
     /// repetitions so a warm calendar does not leak into the next run).
     pub fn reset(&mut self) {

@@ -10,8 +10,8 @@
 use proptest::prelude::*;
 use svmsyn::flow::{synthesize, Placement, SystemDesign};
 use svmsyn::platform::{Platform, PressurePoint};
-use svmsyn::sim::{RunProgress, Sim, SimConfig, SimError, SNAPSHOT_VERSION};
-use svmsyn::{Checkpoint, ExecMode, ShardedSim};
+use svmsyn::sim::{Sim, SimConfig, SimError, SNAPSHOT_VERSION};
+use svmsyn::Checkpoint;
 use svmsyn_os::AllocPolicy;
 use svmsyn_sim::Cycle;
 use svmsyn_snap::SnapError;
@@ -312,125 +312,6 @@ fn read_from_directory_path_is_io_error() {
     let missing = dir.join("svmsyn_snapshot_no_such_file.ckpt");
     let err = Checkpoint::read_from(&missing).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "got {err:?}");
-}
-
-/// A multi-thread hardware design for the sharded-engine snapshot tests,
-/// plus the sharded config that pauses at barriers every ~2000 events.
-fn sharded_fixture() -> (SystemDesign, SimConfig, svmsyn_workloads::Workload) {
-    let w = svmsyn_workloads::streaming::fanout_vecadd(4, 512, 0x5A17);
-    let design = synthesize(&w.app, &Platform::default(), &[Placement::Hardware; 4]).unwrap();
-    let cfg = SimConfig {
-        shards: 4,
-        checkpoint_every: 40,
-        max_events: 50_000_000,
-        ..SimConfig::default()
-    };
-    (design, cfg, w)
-}
-
-/// Runs a sharded sim to its first barrier pause and returns the
-/// checkpoint (the run must not complete before pausing).
-fn first_pause(design: &SystemDesign, cfg: &SimConfig, mode: ExecMode) -> Checkpoint {
-    let mut sim = ShardedSim::new(design, cfg, mode).unwrap();
-    match sim.run().unwrap() {
-        RunProgress::Paused(cp) => cp,
-        RunProgress::Complete => panic!("run completed before the first pause"),
-    }
-}
-
-/// The engines' snapshot images agree: a parallel run's barrier snapshot
-/// is byte-identical to the single-wheel oracle's at the same barrier —
-/// host-thread interleaving leaves no trace in the image.
-#[test]
-fn sharded_barrier_snapshot_matches_oracle_snapshot() {
-    let (design, cfg, _) = sharded_fixture();
-    let parallel = first_pause(&design, &cfg, ExecMode::Parallel);
-    let oracle = first_pause(&design, &cfg, ExecMode::SingleWheel);
-    assert!(!parallel.is_empty());
-    assert_eq!(
-        parallel.as_bytes(),
-        oracle.as_bytes(),
-        "parallel and oracle barrier snapshots diverge ({} vs {} bytes)",
-        parallel.len(),
-        oracle.len()
-    );
-}
-
-/// Completes a run from a checkpoint at the given shard count (1 = the
-/// serial engine) and returns the verified output buffers.
-fn resume_outputs(
-    design: &SystemDesign,
-    cfg: &SimConfig,
-    shards: u32,
-    cp: &Checkpoint,
-    w: &svmsyn_workloads::Workload,
-) -> Vec<Vec<u8>> {
-    let cfg = SimConfig {
-        shards,
-        // No further pauses: run straight to completion.
-        checkpoint_every: 0,
-        ..*cfg
-    };
-    let outcome = if shards > 1 {
-        let mut sim = ShardedSim::restore(design, &cfg, ExecMode::Parallel, cp).unwrap();
-        while !matches!(sim.run().unwrap(), svmsyn::RunProgress::Complete) {}
-        sim.finish().unwrap()
-    } else {
-        let mut sim = Sim::restore(design, &cfg, cp).unwrap();
-        while !matches!(sim.run().unwrap(), svmsyn::RunProgress::Complete) {}
-        sim.finish().unwrap()
-    };
-    w.verify(&outcome)
-        .unwrap_or_else(|e| panic!("resume at {shards} shards computed wrong output: {e}"));
-    design
-        .app
-        .buffers
-        .iter()
-        .enumerate()
-        .map(|(i, b)| {
-            let mut buf = vec![0u8; b.len as usize];
-            outcome.read_buffer(i, &mut buf);
-            buf
-        })
-        .collect()
-}
-
-/// A barrier checkpoint is shard-count-agnostic: it resumes on the serial
-/// engine and on sharded engines of any width, and every resumption
-/// computes the same verified output bytes.
-#[test]
-fn sharded_checkpoint_restores_at_any_shard_count() {
-    let (design, cfg, w) = sharded_fixture();
-    let cp = first_pause(&design, &cfg, ExecMode::Parallel);
-    let reference = resume_outputs(&design, &cfg, 1, &cp, &w);
-    for shards in [2u32, 3, 4] {
-        assert_eq!(
-            resume_outputs(&design, &cfg, shards, &cp, &w),
-            reference,
-            "resume at {shards} shards diverged from the serial resume"
-        );
-    }
-}
-
-/// The reverse direction: a checkpoint written by the *serial* engine
-/// mid-run restores into the sharded engine and completes correctly.
-#[test]
-fn serial_checkpoint_restores_into_sharded_engine() {
-    let (design, cfg, w) = sharded_fixture();
-    let serial_cfg = SimConfig { shards: 1, ..cfg };
-    let mut sim = Sim::new(&design, &serial_cfg).unwrap();
-    let cp = match sim.run().unwrap() {
-        svmsyn::RunProgress::Paused(cp) => cp,
-        svmsyn::RunProgress::Complete => panic!("run completed before the first pause"),
-    };
-    let reference = resume_outputs(&design, &cfg, 1, &cp, &w);
-    for shards in [2u32, 4] {
-        assert_eq!(
-            resume_outputs(&design, &cfg, shards, &cp, &w),
-            reference,
-            "sharded resume at {shards} shards diverged from the serial resume"
-        );
-    }
 }
 
 /// Satellite audit: `SimError` is a real `std::error::Error` — every
