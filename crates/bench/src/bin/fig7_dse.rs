@@ -6,9 +6,8 @@
 
 use svmsyn::app::{Application, ApplicationBuilder, ArgSpec};
 use svmsyn::dse::{explore, DseConfig, DseMethod};
-use svmsyn::flow::Placement;
 use svmsyn::platform::Platform;
-use svmsyn::report::{fmt_cycles, Table};
+use svmsyn::report::{fmt_cycles, placement_code, Table};
 use svmsyn::sim::SimConfig;
 use svmsyn_workloads::{
     histogram::histogram, matmul::matmul, oesort::oesort, sobel::sobel, spmv::spmv,
@@ -52,15 +51,6 @@ fn mixed_app() -> Application {
     builder.build().expect("mixed app")
 }
 
-fn placements_str(p: &[Placement]) -> String {
-    p.iter()
-        .map(|x| match x {
-            Placement::Hardware => 'H',
-            Placement::Software => 'S',
-        })
-        .collect()
-}
-
 fn main() {
     let app = mixed_app();
     // A budget tight enough that all-hardware does not trivially fit.
@@ -92,7 +82,7 @@ fn main() {
         .expect("all-SW point");
     for p in &exhaustive.pareto {
         t.row_owned(vec![
-            placements_str(&p.placements),
+            placement_code(&p.placements),
             p.resources.lut.to_string(),
             p.resources.bram36.to_string(),
             fmt_cycles(p.makespan.0),

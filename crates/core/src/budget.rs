@@ -1,6 +1,5 @@
-//! Host-core count shared by every component that sizes a worker pool: the
-//! sweep service's pool and the DSE evaluator's thread count both default
-//! to one worker per core.
+//! Host-core count for sizing worker pools: the DSE evaluator's thread
+//! count defaults to one worker per core.
 
 /// Host CPUs available to this process (`1` when detection fails —
 /// sandboxes and exotic platforms degrade to serial, never to a panic).

@@ -16,8 +16,8 @@
 //! bit-identical results to the serial one.
 //!
 //! Below the in-process memo sits an optional **second-level cache**: a
-//! persistent content-addressed [`ResultStore`] ([`DseConfig::store`] or
-//! [`explore_with_store`]). A memo miss probes the store before simulating,
+//! persistent content-addressed [`ResultStore`], passed to
+//! [`explore_with_store`]. A memo miss probes the store before simulating,
 //! and every fresh evaluation is published back, so identical evaluation
 //! requests — across processes, sweeps, and tenants — pay the simulation
 //! cost once. Store keys are canonical snap encodings of
@@ -28,7 +28,6 @@
 
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
@@ -90,12 +89,6 @@ pub struct DseConfig {
     /// swap latency) to sweep as a design axis, crossed with every other
     /// axis. Empty means the platform's configured pressure point only.
     pub pressure_axis: Vec<PressurePoint>,
-    /// Root directory of a persistent content-addressed result store to
-    /// consult below the in-process memo (memo miss → store probe →
-    /// simulate → publish). `None` disables persistence. To share one open
-    /// store handle across many explorations, use [`explore_with_store`]
-    /// instead.
-    pub store: Option<PathBuf>,
 }
 
 impl Default for DseConfig {
@@ -110,7 +103,6 @@ impl Default for DseConfig {
             fabric_axis: Vec::new(),
             memif_axis: Vec::new(),
             pressure_axis: Vec::new(),
-            store: None,
         }
     }
 }
@@ -132,6 +124,26 @@ pub struct DsePoint {
     pub resources: FabricResources,
     /// Simulated makespan.
     pub makespan: Cycle,
+}
+
+impl DsePoint {
+    /// A point evaluated on `variant`, whose axis values it records.
+    fn new(
+        variant: &Platform,
+        placements: &[Placement],
+        resources: FabricResources,
+        makespan: Cycle,
+    ) -> Self {
+        DsePoint {
+            placements: placements.to_vec(),
+            walker: variant.memif.mmu.walker,
+            fabric: variant.mem.fabric.clone(),
+            miss_depth: variant.memif.miss_depth,
+            pressure: variant.pressure_point(),
+            resources,
+            makespan,
+        }
+    }
 }
 
 /// The exploration result.
@@ -183,9 +195,6 @@ pub enum DseError {
         /// Eligible thread count.
         eligible: usize,
     },
-    /// The configured result store could not be opened (the message is the
-    /// underlying store error, stringified to keep this type `Clone + Eq`).
-    Store(String),
 }
 
 impl std::fmt::Display for DseError {
@@ -198,7 +207,6 @@ impl std::fmt::Display for DseError {
                     "{eligible} eligible threads is too many for exhaustive search"
                 )
             }
-            DseError::Store(msg) => write!(f, "result store unavailable: {msg}"),
         }
     }
 }
@@ -214,15 +222,12 @@ fn evaluate(
 ) -> Option<DsePoint> {
     let design = synthesize_with(app, platform, placements, kernels).ok()?;
     let outcome = simulate(&design, sim).ok()?;
-    Some(DsePoint {
-        placements: placements.to_vec(),
-        walker: platform.memif.mmu.walker,
-        fabric: platform.mem.fabric.clone(),
-        miss_depth: platform.memif.miss_depth,
-        pressure: platform.pressure_point(),
-        resources: design.total_resources,
-        makespan: outcome.makespan,
-    })
+    Some(DsePoint::new(
+        platform,
+        placements,
+        design.total_resources,
+        outcome.makespan,
+    ))
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -314,20 +319,17 @@ fn decode_store_value(
     let mut r = SnapReader::new(bytes);
     match r.take_u8()? {
         0 => Ok(None),
-        1 => Ok(Some(DsePoint {
-            placements: placements.to_vec(),
-            walker: variant.memif.mmu.walker,
-            fabric: variant.mem.fabric.clone(),
-            miss_depth: variant.memif.miss_depth,
-            pressure: variant.pressure_point(),
-            resources: FabricResources {
+        1 => Ok(Some(DsePoint::new(
+            variant,
+            placements,
+            FabricResources {
                 lut: r.take_u64()?,
                 ff: r.take_u64()?,
                 dsp: r.take_u64()?,
                 bram36: r.take_u64()?,
             },
-            makespan: Cycle(r.take_u64()?),
-        })),
+            Cycle(r.take_u64()?),
+        ))),
         _ => Err(SnapError::Corrupt("store value tag")),
     }
 }
@@ -353,6 +355,22 @@ fn pareto_front(mut feasible: Vec<DsePoint>) -> Vec<DsePoint> {
         }
     }
     front
+}
+
+/// Crosses every platform of `base` with each value of `axis` (applied by
+/// `with`), the axis varying fastest. An empty axis contributes each
+/// platform's own value, leaving `base` as it is.
+fn cross<T>(
+    base: Vec<Platform>,
+    axis: &[T],
+    with: impl Fn(&Platform, &T) -> Platform,
+) -> Vec<Platform> {
+    if axis.is_empty() {
+        return base;
+    }
+    base.iter()
+        .flat_map(|p| axis.iter().map(|v| with(p, v)))
+        .collect()
 }
 
 /// The memoizing, batching evaluation engine behind every search method.
@@ -401,40 +419,13 @@ impl<'a> Evaluator<'a> {
             0 => crate::budget::host_cores(),
             n => n,
         };
-        // The variant list is the cross product of the walk-cache and
-        // fabric axes; an empty axis contributes the platform's own value.
-        let walker_variants: Vec<Platform> = if cfg.walker_axis.is_empty() {
-            vec![platform.clone()]
-        } else {
-            cfg.walker_axis
-                .iter()
-                .map(|w| platform.with_walker(*w))
-                .collect()
-        };
-        let fabric_variants: Vec<Platform> = if cfg.fabric_axis.is_empty() {
-            walker_variants
-        } else {
-            walker_variants
-                .iter()
-                .flat_map(|p| cfg.fabric_axis.iter().map(|f| p.with_fabric(f.clone())))
-                .collect()
-        };
-        let memif_variants: Vec<Platform> = if cfg.memif_axis.is_empty() {
-            fabric_variants
-        } else {
-            fabric_variants
-                .iter()
-                .flat_map(|p| cfg.memif_axis.iter().map(|&d| p.with_miss_depth(d)))
-                .collect()
-        };
-        let variants: Vec<Platform> = if cfg.pressure_axis.is_empty() {
-            memif_variants
-        } else {
-            memif_variants
-                .iter()
-                .flat_map(|p| cfg.pressure_axis.iter().map(|&pt| p.with_pressure(pt)))
-                .collect()
-        };
+        // The variant list is the cross product of the four axes, walker
+        // outermost and pressure innermost.
+        let variants = vec![platform.clone()];
+        let variants = cross(variants, &cfg.walker_axis, |p, &w| p.with_walker(w));
+        let variants = cross(variants, &cfg.fabric_axis, |p, f| p.with_fabric(f.clone()));
+        let variants = cross(variants, &cfg.memif_axis, |p, &d| p.with_miss_depth(d));
+        let variants = cross(variants, &cfg.pressure_axis, |p, &pt| p.with_pressure(pt));
         // `kernels` is shared across variants: no axis may touch `hls`.
         debug_assert!(variants.iter().all(|v| v.hls == platform.hls));
         let memo = vec![HashMap::new(); variants.len()];
@@ -692,34 +683,26 @@ impl<'a> Evaluator<'a> {
     }
 }
 
-/// Explores the placement space and returns the best feasible design point.
-///
-/// When [`DseConfig::store`] is set, a private [`ResultStore`] handle is
-/// opened for the duration of the call; to share one open handle across
-/// many explorations (the sweep-service pattern) use [`explore_with_store`].
+/// Explores the placement space in memory and returns the best feasible
+/// design point. To consult a persistent result store, use
+/// [`explore_with_store`].
 ///
 /// # Errors
 ///
-/// Returns [`DseError`] when no feasible point exists, the exhaustive
-/// space is too large, or the configured store cannot be opened.
+/// Returns [`DseError`] when no feasible point exists or the exhaustive
+/// space is too large.
 pub fn explore(
     app: &Application,
     platform: &Platform,
     cfg: &DseConfig,
 ) -> Result<DseResult, DseError> {
-    match &cfg.store {
-        None => explore_with_store(app, platform, cfg, None),
-        Some(root) => {
-            let store = ResultStore::open(root).map_err(|e| DseError::Store(e.to_string()))?;
-            explore_with_store(app, platform, cfg, Some(&store))
-        }
-    }
+    explore_with_store(app, platform, cfg, None)
 }
 
 /// [`explore`] against a caller-owned [`ResultStore`] handle (pass `None`
-/// to run purely in-memory; `cfg.store` is ignored here). The handle is
-/// internally synchronized, so one store can serve many concurrent
-/// explorations.
+/// to run purely in-memory). The handle is internally synchronized, so one
+/// store can serve many concurrent explorations; a sweep over several
+/// platforms is a loop of calls against one handle.
 ///
 /// # Errors
 ///
@@ -887,6 +870,7 @@ mod tests {
     use super::*;
     use crate::app::{ApplicationBuilder, ArgSpec};
     use crate::flow::synthesize;
+    use std::path::PathBuf;
     use svmsyn_hls::builder::KernelBuilder;
     use svmsyn_hls::ir::{BinOp, CmpOp, Width};
 
@@ -1213,18 +1197,30 @@ mod tests {
                 sim: fast_sim(),
                 walker_axis: vec![WalkerConfig::disabled(), WalkerConfig::default()],
                 fabric_axis: vec![FabricConfig::blocking(), FabricConfig::default()],
+                memif_axis: vec![1, 4],
+                pressure_axis: vec![
+                    PressurePoint::default(),
+                    PressurePoint {
+                        frame_budget: Some(4),
+                        ..PressurePoint::default()
+                    },
+                ],
                 ..DseConfig::default()
             },
         )
         .unwrap();
-        // 4 placements x 2 walkers x 2 fabrics.
-        assert_eq!(r.evaluated, 16);
+        // 4 placements x 2 walkers x 2 fabrics x 2 depths x 2 pressures.
+        assert_eq!(r.evaluated, 4 * 2 * 2 * 2 * 2);
         let distinct: std::collections::HashSet<_> = r
             .feasible
             .iter()
-            .map(|p| (p.walker, p.fabric.clone()))
+            .map(|p| (p.walker, p.fabric.clone(), p.miss_depth, p.pressure))
             .collect();
-        assert_eq!(distinct.len(), 4, "every (walker, fabric) combination");
+        assert_eq!(
+            distinct.len(),
+            16,
+            "every (walker, fabric, miss depth, pressure) combination"
+        );
     }
 
     #[test]
@@ -1430,22 +1426,22 @@ mod tests {
     fn warm_store_serves_repeat_exploration_from_disk() {
         let a = app(2, 64);
         let root = store_root("warm");
+        let open = || ResultStore::open(&root).unwrap();
         let cfg = DseConfig {
             method: DseMethod::Exhaustive,
             sim: fast_sim(),
-            store: Some(root.clone()),
             ..DseConfig::default()
         };
-        let cold = explore(&a, &Platform::default(), &cfg).unwrap();
+        let cold = explore_with_store(&a, &Platform::default(), &cfg, Some(&open())).unwrap();
         assert_eq!(cold.store_hits, 0);
         assert_eq!(
             cold.store_misses, 4,
             "every candidate missed the empty store"
         );
 
-        // Fresh process simulation: a new explore (new memo) over the same
-        // store must answer everything from disk, bit-identically.
-        let warm = explore(&a, &Platform::default(), &cfg).unwrap();
+        // Fresh process simulation: a new explore (new memo) over a freshly
+        // opened handle must answer everything from disk, bit-identically.
+        let warm = explore_with_store(&a, &Platform::default(), &cfg, Some(&open())).unwrap();
         assert_eq!(warm.store_hits, 4);
         assert_eq!(warm.store_misses, 0);
         assert_eq!(warm.best, cold.best);
@@ -1560,17 +1556,17 @@ mod tests {
         let root = store_root("panic");
         let mut platform = Platform::default();
         platform.memif.line_bytes = 4; // HW candidates panic in Memif::new
+        let open = || ResultStore::open(&root).unwrap();
         let cfg = DseConfig {
             method: DseMethod::Exhaustive,
             sim: fast_sim(),
-            store: Some(root.clone()),
             ..DseConfig::default()
         };
-        let first = explore(&a, &platform, &cfg).unwrap();
+        let first = explore_with_store(&a, &platform, &cfg, Some(&open())).unwrap();
         assert_eq!(first.panics.len(), 1);
         // Only the surviving all-software evaluation was persisted; the
         // panicked candidate must stay unpublished and re-run next time.
-        let second = explore(&a, &platform, &cfg).unwrap();
+        let second = explore_with_store(&a, &platform, &cfg, Some(&open())).unwrap();
         assert_eq!(second.store_hits, 1);
         assert_eq!(second.store_misses, 1);
         assert_eq!(second.panics.len(), 1);

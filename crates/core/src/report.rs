@@ -5,6 +5,8 @@
 
 use std::fmt;
 
+use crate::flow::Placement;
+
 /// A simple aligned text table.
 ///
 /// # Example
@@ -106,6 +108,18 @@ pub fn fmt_ratio(r: f64) -> String {
     format!("{r:.2}x")
 }
 
+/// Formats a placement vector one letter per thread, like `HSH`
+/// (`H` hardware, `S` software).
+pub fn placement_code(placements: &[Placement]) -> String {
+    placements
+        .iter()
+        .map(|p| match p {
+            Placement::Hardware => 'H',
+            Placement::Software => 'S',
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,5 +165,12 @@ mod tests {
     fn ratio_formatting() {
         assert_eq!(fmt_ratio(3.417), "3.42x");
         assert_eq!(fmt_ratio(0.5), "0.50x");
+    }
+
+    #[test]
+    fn placement_formatting() {
+        use Placement::{Hardware, Software};
+        assert_eq!(placement_code(&[Hardware, Software, Hardware]), "HSH");
+        assert_eq!(placement_code(&[]), "");
     }
 }

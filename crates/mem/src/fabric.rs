@@ -122,16 +122,6 @@ impl FabricConfig {
         }
     }
 
-    /// A blocking/split variant of `self` with the given outstanding depth
-    /// and MSHR count (the DSE fabric-axis constructor).
-    pub fn with_outstanding(&self, window: u32, mshrs: u32) -> Self {
-        FabricConfig {
-            window,
-            mshrs,
-            ..self.clone()
-        }
-    }
-
     /// Whether this configuration runs the split (phase-decoupled) path.
     /// Depth-1 windows with no MSHRs degenerate to the held-bus oracle.
     pub fn split(&self) -> bool {

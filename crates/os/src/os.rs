@@ -147,15 +147,6 @@ impl Os {
         &self.spaces[(asid.0 - 1) as usize]
     }
 
-    /// Mutable address-space access.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown ASID.
-    pub fn space_mut(&mut self, asid: Asid) -> &mut AddressSpace {
-        &mut self.spaces[(asid.0 - 1) as usize]
-    }
-
     /// `mmap` into the given space. Population (explicit `populate`, or
     /// every call under [`AllocPolicy::Eager`]) routes through the
     /// reclaim-capable fault path, so over-committed populates evict

@@ -39,7 +39,6 @@ pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use event::{reference::HeapScheduler, Event, Scheduler, INLINE_EVENT_BYTES};
 pub use fabric::FabricResources;
@@ -47,4 +46,3 @@ pub use resource::FcfsResource;
 pub use rng::Xoshiro256ss;
 pub use stats::{Counter, Histogram, StatSet};
 pub use time::Cycle;
-pub use trace::Trace;

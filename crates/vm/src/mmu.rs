@@ -184,11 +184,6 @@ impl Mmu {
         self.context
     }
 
-    /// Direct TLB access (for shootdowns and tests).
-    pub fn tlb_mut(&mut self) -> &mut Tlb {
-        &mut self.tlb
-    }
-
     /// Read-only TLB view.
     pub fn tlb(&self) -> &Tlb {
         &self.tlb
